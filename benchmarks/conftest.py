@@ -4,8 +4,9 @@ Every benchmark regenerates one of the paper's tables or figures at laptop
 scale: the dataset sizes below are small enough that the full suite runs in a
 few minutes, yet large enough that each layout spans multiple pages and
 multiple LSM components, so the relative shapes (who wins, by roughly what
-factor) are visible.  Absolute numbers are not expected to match the paper —
-see EXPERIMENTS.md for the paper-vs-measured comparison.
+factor) are visible.  Absolute numbers are not expected to match the paper;
+the measured ones are kept in the ``BENCH_*.json`` files at the repository
+root, and ``perfbench/README.md`` describes the repeated, per-layer benchmark.
 """
 
 from __future__ import annotations

@@ -2,7 +2,9 @@
 
 Each benchmark prints a small table with the same rows/series as the paper's
 figure it reproduces, so the shapes (who wins, by roughly what factor) can be
-compared at a glance against the numbers quoted in EXPERIMENTS.md.
+compared at a glance against the paper's figure.  Repeated, per-layer timings
+of the engine come from the separate benchmark described in
+``perfbench/README.md``.
 
 The executor benchmarks additionally persist their timings as JSON
 (``BENCH_<figure>.json``, see :func:`write_bench_json`) so the perf

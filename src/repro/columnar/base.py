@@ -15,6 +15,7 @@ column's cursor in one batch right before the next read.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.assembly import assemble_document
@@ -118,19 +119,23 @@ class ColumnarComponent(DiskComponent):
             if group.min_key is None or key < group.min_key or key > group.max_key:
                 continue
             keys, antimatter_flags = group.read_keys()
-            # Keys in columnar leaves are searched linearly after decoding
-            # (§4.6) — the very cost the primary-key index exists to avoid.
-            for index, candidate in enumerate(keys):
-                if candidate == key:
-                    if antimatter_flags[index]:
-                        return True, None
-                    return False, self._assemble_at(group, index, fields)
+            # The whole key column is decoded (§4.6), then bisected: a group's
+            # keys are sorted and of one type (int or str) per dataset.
+            index = bisect_left(keys, key)
+            if index < len(keys) and keys[index] == key:
+                if antimatter_flags[index]:
+                    return True, None
+                return False, self._assemble_at(group, index, keys[index], fields)
         return None
 
     def _assemble_at(
-        self, group: ColumnGroup, index: int, fields: Optional[Sequence[str]] = None
+        self,
+        group: ColumnGroup,
+        index: int,
+        key,
+        fields: Optional[Sequence[str]] = None,
     ) -> dict:
-        """Assemble the record at ``index`` of ``group``.
+        """Assemble the record at ``index`` of ``group``, whose primary key is ``key``.
 
         ``fields`` restricts the decode to the projected columns; the whole
         definition/value streams of each needed column are still decoded and
@@ -149,11 +154,10 @@ class ColumnarComponent(DiskComponent):
             cursor = ColumnCursor(column, *streams[column.column_id])
             cursor.skip_records(index)
             chunk[column.column_id] = cursor.next_record()
-        keys, _ = group.read_keys()
         return assemble_document(
             self.schema,
             chunk,
-            key=keys[index],
+            key=key,
             fields=list(fields) if fields is not None else None,
         )
 

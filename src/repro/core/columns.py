@@ -178,10 +178,24 @@ class ColumnCursor:
 
         This is the batched-skip path used during LSM reconciliation (§4.4):
         ignored records are counted first and each column's cursor is advanced
-        once, per column, by the whole batch.
+        once, per column, by the whole batch.  A column outside every array
+        holds one entry per record, so it skips by position arithmetic alone.
         """
-        for _ in range(count):
-            self.next_record()
+        column = self.column
+        if column.array_count:
+            for _ in range(count):
+                self.next_record()
+            return
+        end = self._def_pos + count
+        if end > len(self.defs):
+            raise SchemaError(
+                f"column {column.dotted_path!r} has no more records"
+            )
+        if column.is_primary_key:
+            self._val_pos += count
+        elif column.type_tag != TYPE_NULL:
+            self._val_pos += self.defs[self._def_pos:end].count(column.max_def)
+        self._def_pos = end
 
     def remaining_records(self) -> int:
         """Count the records left (consumes the cursor; used by tests/merges)."""

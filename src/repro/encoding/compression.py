@@ -8,6 +8,9 @@ for every layout.  Snappy itself is not available offline, so we provide:
   It is intentionally simple; what matters for the reproduction is the
   *relative* compressibility of row-major pages (field names repeated in every
   record) versus columnar pages (already-encoded homogeneous values).
+  Decoding copies each back-reference in bulk (one slice, or a repeated
+  pattern when the copy overlaps its own output); the stream format is the
+  same one the encoder has always written.
 * :class:`ZlibCodec` — stdlib zlib, for users who prefer a stronger codec.
 * :class:`NoopCodec` — disables compression.
 
@@ -119,26 +122,54 @@ class SnappyLikeCodec:
 
     def decompress(self, data: bytes) -> bytes:
         expected, position = decode_uvarint(data, 0)
+        data_length = len(data)
         out = bytearray()
-        while len(out) < expected:
-            if position >= len(data):
+        produced = 0
+        while produced < expected:
+            if position >= data_length:
                 raise EncodingError("truncated snappy-like stream")
-            token, position = decode_uvarint(data, position)
+            token = data[position]
+            if token < 0x80:
+                position += 1
+            else:
+                token, position = decode_uvarint(data, position)
             size = token >> 1
             if token & 1:
-                distance, position = decode_uvarint(data, position)
-                if distance <= 0 or distance > len(out):
+                # Most back-distances take one or two uvarint bytes; the
+                # rest (up to the 64 KiB window) use the general decoder.
+                if position + 1 < data_length:
+                    distance = data[position]
+                    if distance < 0x80:
+                        position += 1
+                    elif data[position + 1] < 0x80:
+                        distance = (distance & 0x7F) | (data[position + 1] << 7)
+                        position += 2
+                    else:
+                        distance, position = decode_uvarint(data, position)
+                else:
+                    distance, position = decode_uvarint(data, position)
+                if not 0 < distance <= produced:
                     raise EncodingError("invalid back-reference")
-                start = len(out) - distance
-                for index in range(size):
-                    out.append(out[start + index])
+                start = produced - distance
+                if distance >= size:
+                    out += out[start:start + size]
+                else:
+                    if produced + size > expected:
+                        # Copying first could only end in this error, after
+                        # allocating whatever size a corrupted token claims.
+                        raise EncodingError("snappy-like length mismatch")
+                    # An overlapping copy repeats the last ``distance`` bytes.
+                    repeats, rest = divmod(size, distance)
+                    pattern = out[start:]
+                    out += pattern * repeats + pattern[:rest]
             else:
                 end = position + size
-                if end > len(data):
+                if end > data_length:
                     raise EncodingError("truncated literal run")
-                out.extend(data[position:end])
+                out += data[position:end]
                 position = end
-        if len(out) != expected:
+            produced += size
+        if produced != expected:
             raise EncodingError("snappy-like length mismatch")
         return bytes(out)
 

@@ -28,8 +28,8 @@ reproduction actually spends time:
   cost per surviving row and needed column;
 * an index fetch pays a small per-entry cost for the index range itself, then
   a per-lookup cost proportional to the *leaf group size* — a columnar point
-  lookup decodes the group's key column and linearly searches it, then
-  decodes each needed column's streams (§4.6); this is what makes
+  lookup decodes the group's key column and bisects it, then decodes each
+  needed column's streams (§4.6); this is what makes
   high-selectivity index plans lose (Figure 15b);
 * an index-only plan pays just the per-entry cost, so it wins for covered
   COUNT queries at any selectivity where the index applies.
@@ -89,7 +89,7 @@ class CostModel:
     #: Per-index-entry cost (range search, reconciliation, sorting the keys).
     index_entry: float = 0.4
     #: Per-record-in-group cost of one columnar point lookup's key search
-    #: (decode the group's keys, scan linearly — §4.6).
+    #: (decode the group's whole key column, then bisect it — §4.6).
     lookup_key: float = 0.5
     #: Per-record-in-group cost of decoding one needed column in a lookup.
     lookup_value: float = 0.3

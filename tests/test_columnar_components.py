@@ -113,6 +113,72 @@ class TestComponentRoundTrip:
             assert narrow < wide
 
 
+def keyed_document(key, position: int) -> dict:
+    return {"id": key, "label": f"document number {key} " * 3, "n": position}
+
+
+def build_keyed_component(layout: str, keys, deleted=()):
+    """A multi-group component over ``keys`` (sorted) with anti-matter for ``deleted``."""
+    device = StorageDevice(page_size=1024)
+    cache = BufferCache(capacity_pages=256)
+    schema = Schema()
+    entries = []
+    for key in sorted(keys):
+        if key in deleted:
+            entries.append((key, True, None))
+        else:
+            entries.append((key, False, keyed_document(key, len(entries))))
+    if layout == "apax":
+        builder = ApaxComponentBuilder("c1", device, cache, schema)
+    else:
+        builder = AmaxComponentBuilder("c1", device, cache, schema, max_records_per_leaf=40)
+    return builder.build(entries)
+
+
+@pytest.mark.parametrize("layout", ["apax", "amax"])
+@pytest.mark.parametrize(
+    "keys, absent",
+    [
+        ([i * 3 for i in range(200)], [-1, 1, 2, 301, 600]),
+        ([f"user-{i:04d}" for i in range(0, 400, 2)], ["user-", "user-0001", "user-0121", "zz"]),
+    ],
+    ids=["int-keys", "str-keys"],
+)
+class TestBisectedPointLookup:
+    def test_first_last_absent_and_antimatter_keys(self, layout, keys, absent):
+        deleted = {keys[5], keys[-1]}
+        component = build_keyed_component(layout, keys, deleted)
+        groups = component.groups
+        assert len(groups) > 2
+        live = [key for key in keys if key not in deleted]
+        boundary_keys = {group.min_key for group in groups} | {group.max_key for group in groups}
+        for key in sorted(boundary_keys) + live[::17]:
+            found = component.point_lookup(key)
+            assert found is not None, key
+            antimatter, document = found
+            if key in deleted:
+                assert (antimatter, document) == (True, None)
+            else:
+                assert not antimatter
+                assert document == keyed_document(key, keys.index(key))
+        for key in deleted:
+            assert component.point_lookup(key) == (True, None)
+        # Absent keys fall before, between (inside a group's range or in the
+        # gap between two groups) or after every stored key.
+        for earlier, later in zip(groups, groups[1:]):
+            absent.append(earlier.max_key + (1 if isinstance(keys[0], int) else "!"))
+        for key in absent:
+            assert key not in keys
+            assert component.point_lookup(key) is None, key
+
+    def test_projected_lookup_keeps_the_stored_key(self, layout, keys, absent):
+        component = build_keyed_component(layout, keys)
+        key = keys[len(keys) // 2]
+        antimatter, document = component.point_lookup(key, fields=["label"])
+        assert not antimatter
+        assert document == {"id": key, "label": keyed_document(key, 0)["label"]}
+
+
 class TestApaxPaging:
     def test_multiple_pages_and_groups(self):
         component, schema, _ = build_component("apax", count=600, page_size=8 * 1024)

@@ -5,6 +5,9 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.columnar import AmaxComponentBuilder
+from repro.core import Schema
+from repro.datasets import make_generator
 from repro.encoding import (
     bitpacking,
     decode_values,
@@ -16,7 +19,9 @@ from repro.encoding import (
     rle,
     varint,
 )
+from repro.encoding.compression import SnappyLikeCodec
 from repro.model.errors import EncodingError
+from repro.storage import BufferCache, StorageDevice
 
 
 class TestVarint:
@@ -279,3 +284,209 @@ class TestCompression:
     def test_unknown_codec(self):
         with pytest.raises(EncodingError):
             get_codec("lz4")
+
+
+# -- bulk-copy snappy-like decoder vs the byte-at-a-time reference -----------------
+
+
+def _reference_snappy_decompress(data: bytes) -> bytes:
+    """The byte-at-a-time decoder the bulk-copy one must match exactly.
+
+    One deviation keeps corrupted inputs finite: a copy stops one byte past
+    the declared length.  The outcome is unchanged, since the loop then ends
+    and the length check fails either way.
+    """
+    expected, position = varint.decode_uvarint(data, 0)
+    out = bytearray()
+    while len(out) < expected:
+        if position >= len(data):
+            raise EncodingError("truncated snappy-like stream")
+        token, position = varint.decode_uvarint(data, position)
+        size = token >> 1
+        if token & 1:
+            distance, position = varint.decode_uvarint(data, position)
+            if distance <= 0 or distance > len(out):
+                raise EncodingError("invalid back-reference")
+            start = len(out) - distance
+            for index in range(min(size, expected - len(out) + 1)):
+                out.append(out[start + index])
+        else:
+            end = position + size
+            if end > len(data):
+                raise EncodingError("truncated literal run")
+            out.extend(data[position:end])
+            position = end
+    if len(out) != expected:
+        raise EncodingError("snappy-like length mismatch")
+    return bytes(out)
+
+
+def _outcome(decoder, data: bytes):
+    """``("ok", output)`` or ``("error", message)`` for one decode."""
+    try:
+        return "ok", decoder(data)
+    except EncodingError as exc:
+        return "error", str(exc)
+
+
+def _token_stream(expected: int, *ops) -> bytes:
+    """A hand-built stream: ``bytes`` ops are literal runs, ``(size, distance)`` copies."""
+    out = bytearray()
+    varint.encode_uvarint(expected, out)
+    for op in ops:
+        if isinstance(op, bytes):
+            varint.encode_uvarint(len(op) << 1, out)
+            out += op
+        else:
+            size, distance = op
+            varint.encode_uvarint((size << 1) | 1, out)
+            varint.encode_uvarint(distance, out)
+    return bytes(out)
+
+
+_repetitive_bytes = st.builds(
+    lambda unit, repeats, tail: unit * repeats + tail,
+    st.binary(min_size=1, max_size=8),
+    st.integers(min_value=1, max_value=600),
+    st.binary(max_size=16),
+)
+
+_token_ops = st.lists(
+    st.one_of(
+        st.binary(max_size=24),
+        st.tuples(st.integers(0, 90), st.integers(0, 120)),
+    ),
+    max_size=24,
+)
+
+
+class TestSnappyBulkDecoder:
+    codec = get_codec("snappy")
+
+    def _assert_matches_reference(self, data: bytes):
+        assert _outcome(self.codec.decompress, data) == _outcome(
+            _reference_snappy_decompress, data
+        )
+
+    @given(data=st.one_of(st.binary(max_size=4096), _repetitive_bytes))
+    @settings(max_examples=80, deadline=None)
+    def test_random_and_repetitive_inputs(self, data):
+        compressed = self.codec.compress(data)
+        assert self.codec.decompress(compressed) == data
+        assert _reference_snappy_decompress(compressed) == data
+
+    @pytest.mark.parametrize(
+        "ops, expected_output",
+        [
+            ((b"a", (9, 1)), b"a" * 10),
+            ((b"\x00\x01", (64, 1)), b"\x00\x01" + b"\x01" * 64),
+            ((b"abc", (10, 3)), b"abc" + b"abcabcabca"),
+            ((b"abcde", (7, 2)), b"abcde" + b"dededed"),
+            ((b"abcd", (4, 4)), b"abcdabcd"),
+            ((b"abcdef", (3, 5)), b"abcdefbcd"),
+            ((b"xy", (0, 1), b"z"), b"xyz"),
+            ((bytes(range(256)) * 2, (300, 200)), None),
+            ((b"ab", (200, 2), (150, 170)), None),
+            ((bytes(range(256)) * 80, (10, 20000), (3, 1)), None),
+        ],
+        ids=[
+            "distance-1", "distance-1-multibyte-token", "distance-lt-size",
+            "distance-lt-size-partial", "distance-eq-size", "distance-gt-size",
+            "empty-copy", "multibyte-distance", "overlap-then-far-copy",
+            "three-byte-distance",
+        ],
+    )
+    def test_copies(self, ops, expected_output):
+        # The declared length is the sum of the ops, as an encoder writes it.
+        produced = bytearray()
+        for op in ops:
+            if isinstance(op, bytes):
+                produced += op
+            else:
+                size, distance = op
+                for _ in range(size):
+                    produced.append(produced[-distance])
+        if expected_output is not None:
+            assert bytes(produced) == expected_output
+        stream = _token_stream(len(produced), *ops)
+        assert self.codec.decompress(stream) == bytes(produced)
+        self._assert_matches_reference(stream)
+
+    @pytest.mark.parametrize(
+        "stream, message",
+        [
+            (b"", "truncated uvarint"),
+            (_token_stream(10), "truncated snappy-like stream"),
+            (_token_stream(10, b"abc"), "truncated snappy-like stream"),
+            (_token_stream(8, b"abc", (3, 0)), "invalid back-reference"),
+            (_token_stream(8, b"abc", (3, 4)), "invalid back-reference"),
+            (_token_stream(4, (3, 1)), "invalid back-reference"),
+            (_token_stream(8, b"abcdef")[:-2], "truncated literal run"),
+            (_token_stream(5, b"ab", (4, 1)), "snappy-like length mismatch"),
+            (_token_stream(5, b"abcdef"), "snappy-like length mismatch"),
+            (_token_stream(5, b"ab", (1 << 40, 1)), "snappy-like length mismatch"),
+            (_token_stream(5, b"ab") + b"\x83", "truncated uvarint"),
+            (_token_stream(5, b"ab") + b"\x07", "truncated uvarint"),
+            (_token_stream(5, b"ab") + b"\x07\x81", "truncated uvarint"),
+        ],
+        ids=[
+            "empty", "no-tokens", "stream-ends-early", "zero-distance",
+            "distance-past-output", "copy-before-output", "literal-cut",
+            "copy-overshoots", "literal-overshoots", "huge-copy", "token-cut",
+            "distance-missing", "distance-cut",
+        ],
+    )
+    def test_errors_match_reference(self, stream, message):
+        with pytest.raises(EncodingError, match=message):
+            self.codec.decompress(stream)
+        self._assert_matches_reference(stream)
+
+    @given(expected=st.integers(0, 700), ops=_token_ops)
+    @settings(max_examples=150, deadline=None)
+    def test_arbitrary_token_streams(self, expected, ops):
+        self._assert_matches_reference(_token_stream(expected, *ops))
+
+    @given(
+        data=st.one_of(st.binary(min_size=1, max_size=1024), _repetitive_bytes),
+        edits=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_truncated_and_corrupted_streams(self, data, edits):
+        compressed = self.codec.compress(data)
+        header = len(_token_stream(len(data)))
+        cut = edits.draw(st.integers(0, len(compressed)), label="cut")
+        self._assert_matches_reference(compressed[:cut])
+        if len(compressed) > header:
+            # The header stays intact so a corrupted stream declares a sane length.
+            corrupted = bytearray(compressed)
+            for _ in range(edits.draw(st.integers(1, 3), label="edits")):
+                at = edits.draw(st.integers(header, len(corrupted) - 1), label="at")
+                corrupted[at] = edits.draw(st.integers(0, 255), label="byte")
+            self._assert_matches_reference(bytes(corrupted))
+
+    @pytest.mark.parametrize("dataset", ["sensors", "wos", "tweet_1"])
+    def test_real_amax_megapages(self, dataset, monkeypatch):
+        pages = []
+        original_compress = SnappyLikeCodec.compress
+
+        def recording_compress(codec, data):
+            compressed = original_compress(codec, data)
+            pages.append((bytes(data), compressed))
+            return compressed
+
+        monkeypatch.setattr(SnappyLikeCodec, "compress", recording_compress)
+        builder = AmaxComponentBuilder(
+            "c1", StorageDevice(page_size=16 * 1024), BufferCache(capacity_pages=64),
+            Schema(), max_records_per_leaf=100,
+        )
+        entries = sorted(
+            (document["id"], False, document)
+            for document in make_generator(dataset, 240, seed=3)
+        )
+        builder.build(entries)
+        assert len(pages) > 10
+        for raw, compressed in pages:
+            assert self.codec.decompress(compressed) == raw
+            assert _reference_snappy_decompress(compressed) == raw
+            for cut in {0, 1, len(compressed) // 2, len(compressed) - 1}:
+                self._assert_matches_reference(compressed[:cut])

@@ -19,6 +19,8 @@ from repro.core import (
     shred_batch,
 )
 from repro.model import documents_equal
+from repro.model.errors import SchemaError
+from repro.model.values import TYPE_NULL
 
 GAMERS = [
     {"id": 0, "games": [{"title": "NFL"}]},
@@ -295,3 +297,78 @@ def test_shred_assemble_round_trip_property(documents):
     schema, assembled = roundtrip(records)
     for original, rebuilt in zip(records, assembled):
         assert documents_equal(original, rebuilt), (original, rebuilt)
+
+
+# -- batched record skips ------------------------------------------------------------
+
+SKIP_RECORDS = GAMERS + [
+    {"id": 4, "name": {"first": "Ann"}, "flag": None, "score": 3},
+    {"id": 5, "flag": None, "score": "n/a", "games": []},
+    {"id": 6, "name": None, "score": 7.5},
+    {"id": 7, "flag": None, "games": [{"title": "GTA", "consoles": []}]},
+]
+
+
+def _assert_skip_matches_next_records(column, defs, values, record_count):
+    """``skip_records(n)`` + ``next_record()`` equals ``n + 1`` ``next_record()`` calls."""
+    for skipped in range(record_count):
+        stepped = ColumnCursor(column, defs, values)
+        for _ in range(skipped):
+            stepped.next_record()
+        expected = stepped.next_record()
+        jumped = ColumnCursor(column, defs, values)
+        jumped.skip_records(skipped)
+        assert jumped.next_record() == expected, (column.dotted_path, skipped)
+        assert (jumped._def_pos, jumped._val_pos) == (stepped._def_pos, stepped._val_pos)
+    exhausted = ColumnCursor(column, defs, values)
+    exhausted.skip_records(record_count)
+    assert exhausted.exhausted
+    exhausted.skip_records(0)
+    with pytest.raises(SchemaError):
+        exhausted.skip_records(1)
+    with pytest.raises(SchemaError):
+        ColumnCursor(column, defs, values).skip_records(record_count + 1)
+
+
+class TestSkipRecords:
+    def test_skip_matches_next_record_on_every_column_kind(self):
+        schema, columns = shred_records(SKIP_RECORDS)
+        kinds = set()
+        for shredded in columns.values():
+            column = shredded.column
+            if column.is_primary_key:
+                kinds.add("primary-key")
+            elif column.array_count:
+                kinds.add("array")
+            elif column.type_tag == TYPE_NULL:
+                kinds.add("null")
+            else:
+                kinds.add("flat")
+            _assert_skip_matches_next_records(
+                column, shredded.defs, shredded.values, len(SKIP_RECORDS)
+            )
+        assert kinds == {"primary-key", "array", "null", "flat"}
+
+    def test_skip_over_antimatter_entries(self):
+        schema = Schema()
+        shredder = RecordShredder(schema)
+        for key in range(6):
+            if key % 3 == 1:
+                shredder.shred(key, None, antimatter=True)
+            else:
+                shredder.shred(key, {"id": key, "x": key * 2, "n": None})
+        for shredded in shredder.finish().values():
+            _assert_skip_matches_next_records(
+                shredded.column, shredded.defs, shredded.values, 6
+            )
+
+
+@given(st.lists(json_documents(max_leaves=10), min_size=1, max_size=6))
+@settings(max_examples=40, deadline=None)
+def test_skip_records_matches_next_record_property(documents):
+    records = [dict(document, id=index) for index, document in enumerate(documents)]
+    schema, columns = shred_records(records)
+    for shredded in columns.values():
+        _assert_skip_matches_next_records(
+            shredded.column, shredded.defs, shredded.values, len(records)
+        )
