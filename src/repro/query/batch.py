@@ -9,7 +9,9 @@ operator's output) stored column-wise:
 * ``paths`` maps ``(variable, FieldPath)`` to one value per row — these are
   *direct* columns decoded straight from a columnar component's value streams
   (:func:`repro.query.batch_executor` fills them), with :data:`MISSING` where
-  the record has no value at the path.
+  the record has no value at the path.  A path that ends at an array holds
+  one list per row, rebuilt from the array's definition levels, which UNNEST
+  iterates like any other list.
 
 A batch from a columnar direct scan carries only path columns — no document
 is ever assembled — so materializing row dicts from it is a contract

@@ -6,10 +6,13 @@ instead of rows.  The source comes in two flavours:
 * **direct** — for columnar components, each leaf group's pruned column
   streams are turned straight into per-record value vectors (no document is
   ever assembled), with the pushed predicates and the anti-matter flags
-  folded into one selection before the batch is even built.  Direct scans are
-  only taken when they are provably equivalent to the reconciled row scan:
-  the partition's memtables must be empty, every component must be columnar
-  with the pruned paths flat in its schema
+  folded into one selection before the batch is even built.  A flat path's
+  vector holds its atomic values; a path ending at an array holds one list
+  per record, built column by column from the definition levels
+  (:func:`array_path_vector`).  Direct scans are only taken when they are
+  provably equivalent to the reconciled row scan: the partition's memtables
+  must be empty, every component must be columnar with every pruned path
+  flat or ending at a supported array in its schema
   (:func:`~repro.query.pushdown.schema_supports_direct`), and the components'
   key ranges must be pairwise disjoint — then concatenating them in
   ``min_key`` order replays exactly the k-way merge's key order with no
@@ -32,7 +35,16 @@ import time
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..columnar.base import ColumnarComponent
-from ..core.schema import field_name_steps
+from ..core.schema import (
+    ArrayNode,
+    AtomicNode,
+    ColumnInfo,
+    ObjectNode,
+    Schema,
+    UnionNode,
+    field_name_steps,
+)
+from ..model.errors import SchemaError
 from ..model.path import FieldPath
 from ..model.values import MISSING, TYPE_NULL
 from .batch import ColumnBatch
@@ -72,7 +84,7 @@ from .plan import (
     UnnestNode,
     collect_expressions,
 )
-from .pushdown import compile_predicates, schema_supports_direct
+from .pushdown import compile_predicates, direct_array_node, schema_supports_direct
 
 #: Expression types the direct (assembly-free) path can evaluate over path
 #: columns.  SomeSatisfies re-binds rows internally, so it forces row batches.
@@ -217,16 +229,18 @@ def _component_batches(
     compiled = (
         compile_predicates(schema, spec.predicates) if spec.predicates else []
     )
-    steps_of = {
-        path: tuple(path.steps) for path in spec.paths
-    }
+    array_nodes = {path: direct_array_node(schema, path) for path in spec.paths}
+    # An array path reads every column below the array: exactly the columns
+    # whose field names extend the path, since only objects lead to it.
     value_columns: Dict[FieldPath, list] = {
         path: [
             column
             for column in schema.columns
-            if field_name_steps(column.path) == steps
+            if field_name_steps(column.path) == tuple(path.steps)
         ]
-        for path, steps in steps_of.items()
+        if node is None
+        else schema.leaf_columns(node)
+        for path, node in array_nodes.items()
     }
     pk_column = schema.pk_column
     needs_keys = any(
@@ -281,7 +295,9 @@ def _component_batches(
                 continue
         columns_data: Dict[Tuple[str, FieldPath], list] = {}
         for path, columns in value_columns.items():
-            vector = _path_vector(columns, streams, keys, record_count)
+            vector = _path_vector(
+                schema, array_nodes[path], columns, streams, keys, record_count
+            )
             if selection is not None:
                 vector = kernels.gather(vector, selection)
             columns_data[(variable, path)] = vector
@@ -294,8 +310,17 @@ def _component_batches(
             )
 
 
-def _path_vector(columns, streams, keys, record_count: int) -> list:
-    """One value per record for a flat path, merged across union branches."""
+def _path_vector(
+    schema, array_node, columns, streams, keys, record_count: int
+) -> list:
+    """One value per record for a path, merged across union branches.
+
+    Array paths go to :func:`array_path_vector` first: an array column's
+    value stream holds one value per *element*, so its length says nothing
+    about the records.
+    """
+    if array_node is not None:
+        return array_path_vector(schema, array_node, streams, record_count)
     if len(columns) == 1 and not columns[0].is_primary_key:
         column = columns[0]
         defs, values = streams[column.column_id]
@@ -322,6 +347,200 @@ def _path_vector(columns, streams, keys, record_count: int) -> list:
                     vector[index] = values[value_index]
                     value_index += 1
     return vector
+
+
+def array_path_vector(
+    schema: Schema, node: ArrayNode, streams, record_count: int
+) -> list:
+    """One list (or MISSING) per record for a path ending at ``node``.
+
+    The columnar counterpart of :func:`~repro.core.assembly._assemble_array`
+    for the arrays :func:`~repro.query.pushdown.direct_array_node` accepts
+    (no nested array, atomic-only unions), built column by column from the
+    definition levels instead of record by record.  Below such an array every
+    column holds, per record, either one entry under the array's level (the
+    array or an ancestor is absent) or one entry per element at or above the
+    array's level followed by the record-end delimiter 0, so an entry under
+    the level ends a record and everything else is an element entry.
+    Per record, exactly as the assembler decides:
+
+    * MISSING when every column places the record below the array level;
+    * ``[]`` when every entry is at or below the array level;
+    * otherwise one element per entry of the columns that carry elements — a
+      column with a single entry at or below the level (back-filled for
+      records written before it was discovered) reads as a missing field in
+      every element.
+    """
+    level = node.level
+    columns = schema.leaf_columns(node)
+    if not columns:
+        return [MISSING] * record_count
+    spans = []
+    for column in columns:
+        defs, values = streams[column.column_id]
+        ends = [position for position, definition_level in enumerate(defs)
+                if definition_level < level]
+        if len(ends) != record_count:
+            raise SchemaError(
+                f"column {column.dotted_path!r} holds {len(ends)} records "
+                f"where its group holds {record_count}"
+            )
+        starts = [0] + [end + 1 for end in ends]
+        counts = [end - start for start, end in zip(starts, ends)]
+        spans.append((column, defs, values, ends, counts))
+    canonical = spans[0][4]
+    if any(span[4] != canonical for span in spans):
+        canonical = _element_counts(spans, level)
+    element_streams: Dict[int, tuple] = {}
+    for column, defs, values, _, counts in spans:
+        element_defs = [d for d in defs if d >= level]
+        element_values = _element_values(column, element_defs, values)
+        if counts != canonical:
+            element_defs, element_values = _fill_absent(
+                element_defs, element_values, counts, canonical, level
+            )
+        element_streams[column.column_id] = (element_defs, element_values)
+    elements = _item_vector(
+        schema, node.item, element_streams, sum(canonical)
+    )
+    check = MISSING in elements
+    vector: list = []
+    position = 0
+    for count in canonical:
+        if not count:
+            vector.append(MISSING)
+            continue
+        items = elements[position:position + count]
+        position += count
+        if check:
+            if count == 1 and items[0] is MISSING:
+                vector.append([])
+                continue
+            if MISSING in items:
+                raise SchemaError(
+                    "array element assembled to MISSING; column streams are "
+                    "inconsistent"
+                )
+        vector.append(items)
+    return vector
+
+
+def _element_counts(spans, level: int) -> List[int]:
+    """Per-record element counts when the columns disagree record by record.
+
+    A column with no entry at or above ``level`` (absent), or a single one at
+    exactly ``level`` (the ``[]`` marker), carries no element count; every
+    other column must agree.  Records where no column carries a count get 1
+    for a ``[]`` marker and 0 for MISSING.
+    """
+    counts: List[int] = []
+    for record in range(len(spans[0][4])):
+        elements = None
+        empty = False
+        for column, defs, _, ends, column_counts in spans:
+            count = column_counts[record]
+            if not count:
+                continue
+            if count == 1 and defs[ends[record] - 1] == level:
+                empty = True
+                continue
+            if elements is None:
+                elements = count
+            elif elements != count:
+                raise SchemaError(
+                    f"column {column.dotted_path!r} disagrees on the element "
+                    f"count ({count} vs {elements}) at array depth 1"
+                )
+        counts.append(elements if elements is not None else int(empty))
+    return counts
+
+
+def _element_values(column: ColumnInfo, element_defs: List[int], values) -> list:
+    """One value per element entry: the stored value where present, else MISSING."""
+    max_def = column.max_def
+    if column.type_tag == TYPE_NULL:
+        return [None if d == max_def else MISSING for d in element_defs]
+    if len(values) == len(element_defs):
+        return values if isinstance(values, list) else list(values)
+    iterator = iter(values)
+    return [next(iterator) if d == max_def else MISSING for d in element_defs]
+
+
+def _fill_absent(element_defs, element_values, counts, canonical, level):
+    """Re-align a column to the records' element counts.
+
+    Where the column carries no elements for a record that has some, it
+    gets one entry per element at the array's own level: a missing field in
+    every element.
+    """
+    defs_out: List[int] = []
+    values_out: list = []
+    position = 0
+    for own, wanted in zip(counts, canonical):
+        if own == wanted:
+            defs_out.extend(element_defs[position:position + own])
+            values_out.extend(element_values[position:position + own])
+        else:
+            defs_out.extend([level] * wanted)
+            values_out.extend([MISSING] * wanted)
+        position += own
+    return defs_out, values_out
+
+
+def _item_vector(schema: Schema, node, element_streams, count: int) -> list:
+    """The value of ``node`` in every element entry (MISSING where absent).
+
+    Mirrors :func:`~repro.core.assembly._assemble_node` for objects, atomics
+    and atomic unions: an atomic is its value where its definition level
+    equals its own; a union is its first present branch; an object is present
+    iff one of its leaves reaches the object's level, and holds its present
+    children in schema order.
+    """
+    if isinstance(node, AtomicNode):
+        column = node.column
+        if column is None or column.column_id not in element_streams:
+            return [MISSING] * count
+        return element_streams[column.column_id][1]
+    if isinstance(node, UnionNode):
+        merged = None
+        for branch in node.branches.values():
+            vector = _item_vector(schema, branch, element_streams, count)
+            merged = vector if merged is None else [
+                first if first is not MISSING else second
+                for first, second in zip(merged, vector)
+            ]
+        return [MISSING] * count if merged is None else merged
+    if not isinstance(node, ObjectNode):
+        raise SchemaError(f"cannot build schema node of kind {node.kind!r} directly")
+    leaf_defs = [
+        element_streams[column.column_id][0]
+        for column in schema.leaf_columns(node)
+        if column.column_id in element_streams
+    ]
+    if not leaf_defs:
+        return [MISSING] * count
+    level = node.level
+    names = list(node.children)
+    vectors = [
+        _item_vector(schema, child, element_streams, count)
+        for child in node.children.values()
+    ]
+    if any(min(defs, default=level) >= level for defs in leaf_defs):
+        if not any(MISSING in vector for vector in vectors):
+            return [dict(zip(names, row)) for row in zip(*vectors)]
+        present = None
+    else:
+        present = [False] * count
+        for defs in leaf_defs:
+            present = [
+                flag or d >= level for flag, d in zip(present, defs)
+            ]
+    return [
+        {name: value for name, value in zip(names, row) if value is not MISSING}
+        if present is None or present[index]
+        else MISSING
+        for index, row in enumerate(zip(*vectors))
+    ]
 
 
 def source_batches(
@@ -459,8 +678,17 @@ def _batch_group_by(batches: Iterable[ColumnBatch], node: GroupByNode) -> List[d
                 ]
                 groups[key] = aggregators
                 key_values[key] = raw
-            elif rep_ranks(raw) < rep_ranks(key_values[key]):
-                key_values[key] = raw
+            else:
+                kept = key_values[key]
+                # Equal atomic types rank equally, so only a type change or a
+                # container (``[1]`` vs ``[1.0]``) can lower the rank.
+                for value, kept_value in zip(raw, kept):
+                    if type(value) is not type(kept_value) or isinstance(
+                        value, (list, tuple, dict)
+                    ):
+                        if rep_ranks(raw) < rep_ranks(kept):
+                            key_values[key] = raw
+                        break
             for aggregator, vector in zip(aggregators, agg_vectors):
                 aggregator.add(None if vector is None else vector[index])
     results = []

@@ -223,9 +223,12 @@ def traced_row_source(rows: Iterable[dict], source_node) -> Iterator[dict]:
 
 def traced_batch_source(batches, source_node):
     """Like :func:`traced_row_source` but over column batches — the span
-    carries both the batch count and the total row count."""
+    carries the batch count, the total row count, and ``direct_batches``:
+    how many batches came straight from column streams with no record
+    assembled (0 when the scan assembled every record)."""
     row_count = 0
     batch_count = 0
+    direct_count = 0
     elapsed = 0.0
     iterator = iter(batches)
     try:
@@ -239,6 +242,8 @@ def traced_batch_source(batches, source_node):
             elapsed += time.perf_counter() - started
             batch_count += 1
             row_count += batch.length
+            if batch.paths:
+                direct_count += 1
             yield batch
     finally:
         record_span(
@@ -247,6 +252,7 @@ def traced_batch_source(batches, source_node):
             dataset=getattr(source_node, "dataset", None),
             rows_out=row_count,
             batches=batch_count,
+            direct_batches=direct_count,
         )
 
 

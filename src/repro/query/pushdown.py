@@ -55,6 +55,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.schema import (
     ARRAY_PATH_STEP,
+    ArrayNode,
     AtomicNode,
     ColumnInfo,
     ObjectNode,
@@ -280,27 +281,69 @@ def _only_atomic_at(schema: Schema, steps: Tuple[str, ...]) -> bool:
     return all(isinstance(final, AtomicNode) for final in finals)
 
 
+def direct_array_node(schema: Schema, path: FieldPath) -> Optional[ArrayNode]:
+    """The array a pruned path ends at, when a direct scan can rebuild it.
+
+    Walks the component's schema *tree* (not its column-path strings: a union
+    that wraps an existing array leaves the array branch's column paths
+    untagged) from the root along ``path``'s field names.  Returns the
+    :class:`ArrayNode` reached when every step goes through an
+    :class:`ObjectNode`, the array's item subtree holds no further array, and
+    every union in that subtree has only atomic branches (the ``[]``-first
+    null/int item union, for example).  Returns None otherwise: a union at or
+    above the array, an array above the path's end, nested arrays, a path
+    that reaches past an array, or a path that does not end at an array.
+    """
+    node = schema.root
+    for step in path.steps:
+        if not isinstance(node, ObjectNode):
+            return None
+        node = node.children.get(step)
+    if not isinstance(node, ArrayNode) or node.item is None:
+        return None
+    stack = [node.item]
+    while stack:
+        current = stack.pop()
+        if isinstance(current, ArrayNode):
+            return None
+        if isinstance(current, UnionNode):
+            if not all(
+                isinstance(branch, AtomicNode)
+                for branch in current.branches.values()
+            ):
+                return None
+        stack.extend(current.iter_children())
+    return node
+
+
 def schema_supports_direct(schema: Schema, paths: Sequence[FieldPath]) -> bool:
-    """Can every pruned path be served as one flat per-record value vector?
+    """Can every pruned path be served as one per-record value vector?
 
     The batch executor's *direct* scan skips document assembly by reading each
     requested path straight from the component's column streams.  That is only
-    exact when, for this component's schema snapshot,
+    exact when, for this component's schema snapshot, each path is either
 
-    * the path itself contains no array steps,
-    * no column stores values *under* the path through an array (the path's
-      value would be a list the flat streams cannot reproduce), and
-    * no column extends the path with further field names (the path's value
-      would be an assembled object).
+    * **flat** — the path itself contains no array steps, no column stores
+      values *under* the path through an array, and no column extends the
+      path with further field names (the path's value would be an assembled
+      object).  Paths matching no column at all are fine — every record reads
+      MISSING, exactly as field access on the assembled document would — and
+      so are union branches (several atomic columns sharing the path): at
+      most one branch is present per record; or
+    * **an array path** — the path ends exactly at one array whose items the
+      direct scan rebuilds from the definition levels alone
+      (:func:`direct_array_node`): objects of atomics or atomic unions, with
+      no nested array.
 
-    Paths matching no column at all are fine — every record reads MISSING,
-    exactly as field access on the assembled document would.  Union branches
-    (several atomic columns sharing the path) are fine too: at most one
-    branch is present per record.
+    Everything else — a union at or above an array (wos ``address_name``), an
+    array above the path's end, nested arrays, or a path that reaches past an
+    array such as ``readings.temp`` — needs the reconciling row scan.
     """
     for path in paths:
         if path.array_depth > 0:
             return False
+        if direct_array_node(schema, path) is not None:
+            continue
         steps = tuple(path.steps)
         for column in schema.columns:
             named = field_name_steps(column.path)

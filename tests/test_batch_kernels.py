@@ -312,3 +312,34 @@ def test_batch_aggregate_straddling_batches():
 def test_batch_group_by_empty_input():
     node = GroupByNode(keys=[("k", Var("k"))], aggregates=[("c", "count", None)])
     assert _batch_group_by([], node) == _run_group_by([], node) == []
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reversed"])
+def test_batch_group_by_representative_matches_row_group_by(reverse):
+    """``1``/``1.0``/``True`` and ``[1]``/``[1.0]`` share a group; the batch
+    GROUP BY skips re-ranking equal atomic types yet must still keep the
+    minimum-ranked representative, whatever order the rows arrive in."""
+    rows = [
+        {"k": 1.0, "j": "x"},
+        {"k": 1, "j": "x"},
+        {"k": True, "j": "x"},
+        {"k": 1, "j": "x"},
+        {"k": [1.0], "j": "y"},
+        {"k": [1], "j": "y"},
+        {"k": [1.0], "j": "y"},
+        {"k": "s", "j": 2.0},
+        {"k": "s", "j": 2},
+        {"k": None, "j": "z"},
+        {"j": "z"},
+    ]
+    if reverse:
+        rows = rows[::-1]
+    node = GroupByNode(
+        keys=[("k", Var("k")), ("j", Var("j"))],
+        aggregates=[("c", "count", None)],
+    )
+    expected = _run_group_by(rows, node)
+    assert {repr(row["k"]) for row in expected} >= {"True", "[1]"}
+    for size in (1, 2, 100):
+        got = _batch_group_by(_chunk(rows, size), node)
+        assert repr(got) == repr(expected), size

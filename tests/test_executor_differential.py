@@ -295,21 +295,28 @@ def test_interpreted_pushdown_consistency(fuzz_store):
         assert with_pushdown == without, text
 
 
+#: One flat-path and one array-path query: the UNNEST one makes the scan
+#: rebuild ``tags`` lists from definition levels, so the fuzz corpus's UNNEST
+#: queries cover that builder too.
+DIRECT_META_QUERIES = (
+    "SELECT t.b AS k, COUNT(*) AS c FROM d AS t WHERE t.a >= 0 GROUP BY t.b;",
+    "SELECT u AS k, COUNT(*) AS c FROM d AS t UNNEST t.tags AS u GROUP BY u;",
+)
+
+
 def test_direct_batches_engage_for_columnar_layouts(fuzz_store):
     """Meta-test: the fuzz corpus actually exercises the direct scan path."""
     layout, store = fuzz_store
     from repro.query.batch_executor import plan_supports_direct, source_batches
     from repro.sqlpp import compile_query
 
-    compiled = compile_query(
-        "SELECT t.b AS k, COUNT(*) AS c FROM d AS t WHERE t.a >= 0 GROUP BY t.b;"
-    )
-    plan = compiled.query.optimized_plan(store)
-    assert plan_supports_direct(plan)
-    batches = list(source_batches(store, plan))
-    direct = [batch for batch in batches if batch.paths]
-    if layout in ("apax", "amax"):
-        assert direct, "columnar layouts should emit assembly-free batches"
-        assert all(not batch.vars for batch in direct)
-    else:
-        assert not direct, "row layouts must use row-backed batches"
+    for text in DIRECT_META_QUERIES:
+        plan = compile_query(text).query.optimized_plan(store)
+        assert plan_supports_direct(plan), text
+        batches = list(source_batches(store, plan))
+        direct = [batch for batch in batches if batch.paths]
+        if layout in ("apax", "amax"):
+            assert direct, f"columnar layouts should emit assembly-free batches: {text}"
+            assert all(not batch.vars for batch in direct)
+        else:
+            assert not direct, f"row layouts must use row-backed batches: {text}"

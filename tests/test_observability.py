@@ -325,6 +325,37 @@ def test_explain_analyze_appends_trace():
         store.close()
 
 
+UNNEST_QUERY = (
+    "SELECT u AS u, COUNT(*) AS n FROM a AS t UNNEST t.tags AS u GROUP BY u;"
+)
+
+
+@pytest.mark.parametrize("layout", ["amax", "open"])
+@pytest.mark.parametrize("executor", ["batch", "codegen"])
+def test_scan_span_reports_direct_batches(layout, executor):
+    """The scan span says whether the scan assembled records: an UNNEST over
+    a flushed AMAX dataset rebuilds ``tags`` from column streams, while the
+    open row layout decodes every record."""
+    store = Datastore(StoreConfig(partitions_per_node=1))
+    try:
+        dataset = store.create_dataset("a", layout=layout)
+        dataset.insert_many(
+            [{"id": i, "tags": [i % 3, i % 5][: i % 3]} for i in range(60)]
+        )
+        dataset.flush_all()
+        store.query(UNNEST_QUERY, executor=executor)
+        (scan,) = _find_spans(store.last_trace.root, "DataScanNode")
+        assert scan.attrs["batches"] >= 1
+        if layout == "amax":
+            assert scan.attrs["direct_batches"] > 0
+        else:
+            assert scan.attrs["direct_batches"] == 0
+        rendering = store.explain(UNNEST_QUERY, analyze=True)
+        assert "direct_batches=" in rendering.split("ANALYZE TRACE:")[1]
+    finally:
+        store.close()
+
+
 def test_observability_off_disables_tracing_and_metrics():
     store = make_store(observability=False)
     try:
